@@ -20,8 +20,8 @@ Packages:
 * :mod:`repro.parallel` — the parallelized pipeline (paper Sec. V).
 * :mod:`repro.datagen`, :mod:`repro.metrics`, :mod:`repro.bench` —
   dataset generation, metrics, and the figure/table harness.
-* :mod:`repro.service` — the serving layer: a sharded, cached,
-  batched query service over a standing dataset.
+* :mod:`repro.service` — the serving layer: a cached, batched
+  query service over a standing dataset.
 """
 
 from repro.core.matcher import EVMatcher, MatcherConfig, MatchReport

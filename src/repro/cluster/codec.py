@@ -137,7 +137,6 @@ def response_to_wire(response: Any) -> Dict[str, Any]:
             "co_travelers": [
                 [other.index, shared] for other, shared in response.co_travelers
             ],
-            "shards_touched": response.shards_touched,
             "cached": response.cached,
             "latency_s": response.latency_s,
             "error": response.error,
@@ -209,7 +208,6 @@ def response_from_wire(message: Dict[str, Any]) -> Any:
                     (EID(int(other)), int(shared))
                     for other, shared in message.get("co_travelers", [])
                 ],
-                shards_touched=int(message.get("shards_touched", 0)),
                 cached=bool(message.get("cached", False)),
                 latency_s=float(message.get("latency_s", 0.0)),
                 error=message.get("error"),

@@ -15,7 +15,8 @@ discipline of SLIM/CLIQUE-style linkage systems:
 * :class:`ScenarioMatrix` holds every scenario's inclusive/allowed EID
   sets as packed ``uint64`` bitset rows in columnar arrays, kept
   incrementally up to date on :meth:`~repro.sensing.scenarios.ScenarioStore.add`
-  (the live-ingest path) via the store's arrival log;
+  (the live-ingest path) via the store's arrival log; it is also the
+  only per-EID index (scenarios, presence windows, co-travelers);
 * :class:`CandidateMatrix` is the per-run state of a multi-target
   split: a ``(targets, words)`` candidate-bit matrix whose shrink step
   is one vectorized AND + row comparison over all helped targets,
@@ -280,6 +281,7 @@ class ScenarioMatrix:
         self.interner = EIDInterner(sorted(store.eid_universe))
         self._lock = threading.Lock()
         self._row_of: Dict[ScenarioKey, int] = {}
+        self._keys: List[ScenarioKey] = []
         self._num_rows = 0
         self._words = self.interner.num_words
         self._inclusive = np.zeros(
@@ -335,6 +337,7 @@ class ScenarioMatrix:
         self._inclusive_ids.append(inclusive_ids)
         self._allowed_ids.append(allowed_ids)
         self._row_of[e_scenario.key] = row
+        self._keys.append(e_scenario.key)
         self._num_rows += 1
 
     def sync(self) -> int:
@@ -452,7 +455,7 @@ class ScenarioMatrix:
         """Per-EID inclusive co-occurrence counts over ``keys``.
 
         One unpack + column sum instead of a Python loop over EID
-        sets — the investigate path's co-traveler kernel.
+        sets.
         """
         rows = [self._row_of[k] for k in keys]
         if not rows:
@@ -464,6 +467,76 @@ class ScenarioMatrix:
             bitorder="little",
         )
         return bits[:, : len(self.interner)].sum(axis=0, dtype=np.int64)
+
+    # -- per-EID lookups -----------------------------------------------
+    def rows_holding(self, eid: EID, inclusive_only: bool = False) -> np.ndarray:
+        """Rows whose allowed bits (inclusive bits with
+        ``inclusive_only``) hold ``eid``, in arrival order.
+
+        The one per-EID index: a single bit-column read over the packed
+        rows, synced to the store first.  Empty for an EID never seen.
+        """
+        self.sync()
+        eid_id = self.interner.id_of(eid)
+        if eid_id is None:
+            return np.zeros(0, dtype=np.int64)
+        packed = self._inclusive if inclusive_only else self._allowed
+        column = packed[: self._num_rows, eid_id >> 6]
+        return np.flatnonzero((column >> np.uint64(eid_id & 63)) & np.uint64(1))
+
+    def scenarios_of(
+        self, eid: EID, inclusive_only: bool = False
+    ) -> Tuple[ScenarioKey, ...]:
+        """Every scenario whose E side holds ``eid`` (vague sightings
+        too unless ``inclusive_only``), in key order."""
+        rows = self.rows_holding(eid, inclusive_only)
+        return tuple(sorted(self._keys[r] for r in rows))
+
+    def presence_windows(self, eid: EID) -> List[Tuple[int, int, int]]:
+        """Contiguous presence runs of an EID: ``(cell, first, last)``.
+
+        Collapses per-tick sightings (vague ones included) into dwell
+        intervals, the shape an investigator reads ("in cell 7 from
+        t=40 to t=180"), ordered by start tick.
+        """
+        by_cell: Dict[int, List[int]] = {}
+        for key in self.scenarios_of(eid):
+            by_cell.setdefault(key.cell_id, []).append(key.tick)
+        runs: List[Tuple[int, int, int]] = []
+        for cell_id, ticks in by_cell.items():
+            start = prev = ticks[0]
+            for tick in ticks[1:]:
+                if tick == prev + 1:
+                    prev = tick
+                    continue
+                runs.append((cell_id, start, prev))
+                start = prev = tick
+            runs.append((cell_id, start, prev))
+        runs.sort(key=lambda run: (run[1], run[0]))
+        return runs
+
+    def co_travelers(
+        self, eid: EID, min_shared: int = 3
+    ) -> List[Tuple[EID, int]]:
+        """EIDs confidently co-occurring with ``eid``, most-shared first.
+
+        One column sum over the inclusive rows that hold ``eid``
+        inclusively yields every co-occurrence count at once; pairs
+        ``(other, shared)`` with at least ``min_shared`` survive.
+        """
+        if min_shared <= 0:
+            raise ValueError(f"min_shared must be positive, got {min_shared}")
+        counts = self.co_occurrence_counts(
+            self.scenarios_of(eid, inclusive_only=True)
+        )
+        eid_id = self.interner.id_of(eid)
+        pairs = [
+            (self.interner.eid_of(i), int(counts[i]))
+            for i in np.flatnonzero(counts >= min_shared)
+            if i != eid_id
+        ]
+        pairs.sort(key=lambda en: (-en[1], en[0]))
+        return pairs
 
 
 class CandidateMatrix:
@@ -898,7 +971,7 @@ class CandidateMatrix:
 
 
 #: Shared per-store matrices: every query over one store (the serving
-#: layer's workers, the shards' investigate path, repeated CLI runs)
+#: layer's workers, its investigate path, repeated CLI runs)
 #: reuses one matrix instead of re-packing the dataset per run.
 _MATRICES: "weakref.WeakKeyDictionary[ScenarioStore, ScenarioMatrix]" = (
     weakref.WeakKeyDictionary()

@@ -12,10 +12,10 @@ The query is two-phase, and both phases lean on existing kernels:
 
 1. **Candidate screen** — one packed column sum over the target's
    inclusive scenario rows
-   (:meth:`~repro.core.accel.ScenarioMatrix.co_occurrence_counts`,
-   the PR-2 co-traveler kernel) yields every EID's shared-scenario
-   count at once; only candidates with at least ``min_shared`` shared
-   scenarios proceed.
+   (:meth:`~repro.core.accel.ScenarioMatrix.co_travelers`, the same
+   kernel investigate and the fused index answer with) yields every
+   EID's shared-scenario count at once; only candidates with at least
+   ``min_shared`` shared scenarios proceed.
 2. **Graph-constrained window join** — the shared sightings are walked
    in tick order and split into segments wherever consecutive
    sightings are spatiotemporally infeasible (unreachable under the
@@ -98,7 +98,6 @@ class ConvoyQuery:
         self.min_cells = min_cells
         self.max_gap_ticks = max_gap_ticks
         self._matrix = matrix_for(store)
-        self._matrix.sync()
 
     # -- public API ------------------------------------------------------
     def find(self, eid: EID) -> List[Convoy]:
@@ -107,7 +106,7 @@ class ConvoyQuery:
         if not own_keys:
             return []
         convoys: List[Convoy] = []
-        for companion in self._candidates(eid, own_keys):
+        for companion in self._candidates(eid):
             shared = self._shared_keys(own_keys, companion)
             for segment in self._segments(shared):
                 cells = list(dict.fromkeys(k.cell_id for k in segment))
@@ -128,23 +127,14 @@ class ConvoyQuery:
     # -- phases ----------------------------------------------------------
     def _inclusive_keys(self, eid: EID) -> List[ScenarioKey]:
         """The target's confident sightings, tick-ordered."""
-        keys = [
-            key
-            for key in self.store.keys
-            if eid in self.store.e_scenario(key).inclusive
-        ]
+        keys = list(self._matrix.scenarios_of(eid, inclusive_only=True))
         keys.sort(key=lambda k: (k.tick, k.cell_id))
         return keys
 
-    def _candidates(self, eid: EID, own_keys: List[ScenarioKey]) -> List[EID]:
-        """Phase 1: the packed column-sum candidate screen."""
-        counts = self._matrix.co_occurrence_counts(own_keys)
-        interner = self._matrix.interner
-        eid_id = interner.id_of(eid)
+    def _candidates(self, eid: EID) -> List[EID]:
+        """Phase 1: the packed column-sum co-traveler screen."""
         return sorted(
-            interner.eid_of(i)
-            for i, n in enumerate(counts)
-            if n >= self.min_shared and i != eid_id
+            other for other, _ in self._matrix.co_travelers(eid, self.min_shared)
         )
 
     def _shared_keys(

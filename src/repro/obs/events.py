@@ -95,7 +95,6 @@ MR_JOB_FINISHED = "mr.job.finished"
 #: Serving layer:
 SERVICE_REQUEST_SHED = "service.request.shed"
 SERVICE_CACHE_EVICTED = "service.cache.evicted"
-SERVICE_SHARD_ASSIGNED = "service.shard.assigned"
 SERVICE_DRAIN_STARTED = "service.drain.started"
 SERVICE_DRAIN_COMPLETED = "service.drain.completed"
 SERVICE_QUERY_SLOW = "service.query.slow"
@@ -142,7 +141,6 @@ EVENT_TYPES = (
     MR_JOB_FINISHED,
     SERVICE_REQUEST_SHED,
     SERVICE_CACHE_EVICTED,
-    SERVICE_SHARD_ASSIGNED,
     SERVICE_DRAIN_STARTED,
     SERVICE_DRAIN_COMPLETED,
     SERVICE_QUERY_SLOW,

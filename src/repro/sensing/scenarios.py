@@ -234,8 +234,7 @@ class ScenarioStore:
     def keys_since(self, start: int) -> Sequence[ScenarioKey]:
         """Keys ingested at arrival positions ``>= start``, in arrival
         order — the append-only log incremental index structures (the
-        bitset :class:`~repro.core.accel.ScenarioMatrix`, shard routing)
-        consume to stay in sync without rescans."""
+        bitset :class:`~repro.core.accel.ScenarioMatrix`) consume to stay in sync without rescans."""
         return tuple(self._arrival[start:])
 
     def __len__(self) -> int:

@@ -1,4 +1,4 @@
-"""The serving layer: a sharded, cached, batched query service.
+"""The serving layer: a cached, batched query service.
 
 Where :mod:`repro.core` answers *one* matching task end-to-end, this
 package keeps a built world resident and answers *repeated* queries
@@ -10,7 +10,8 @@ Composition (see ``docs/architecture.md``, "Serving layer")::
     MatchService (server.py)      the threaded front end
       ├── ResultCache             LRU+TTL, EID-tagged invalidation
       ├── MatchBatcher            in-flight dedup + union batching
-      ├── ShardedDataset          region-banded standing indexes
+      ├── ScenarioMatrix          the store's per-EID index
+      │                           (repro.core.accel, investigate)
       ├── ServiceMetrics          counters + latency percentiles
       │                           (on a repro.obs MetricsRegistry;
       │                           the ``metrics`` verb renders it as
@@ -43,7 +44,6 @@ from repro.service.api import (
 )
 from repro.service.batcher import MatchBatcher
 from repro.service.cache import CacheStats, ResultCache
-from repro.service.dataset_shards import DatasetShard, ShardedDataset
 from repro.service.health import HealthTracker, SLOConfig
 from repro.service.loadgen import (
     LoadConfig,
@@ -57,7 +57,6 @@ from repro.service.server import MatchService, ServiceConfig
 __all__ = [
     "ALGORITHMS",
     "CacheStats",
-    "DatasetShard",
     "EndpointMetrics",
     "HealthResponse",
     "HealthTracker",
@@ -82,7 +81,6 @@ __all__ = [
     "ServiceConfig",
     "ServiceMetrics",
     "ServiceOverloaded",
-    "ShardedDataset",
     "StatsResponse",
     "TargetMatch",
     "run_load",

@@ -118,7 +118,7 @@ class MatchResponse:
 
 @dataclass(frozen=True)
 class InvestigateRequest:
-    """Profile one EID from the standing shard indexes.
+    """Profile one EID from the store's per-EID index.
 
     Attributes:
         eid: the suspect.
@@ -146,8 +146,6 @@ class InvestigateResponse:
         num_scenarios: electronic sightings on record.
         presence: dwell intervals ``(cell_id, first_tick, last_tick)``.
         co_travelers: ``(other, shared scenario count)`` pairs.
-        shards_touched: how many dataset shards the lookup probed
-            (the sharding win: far fewer than the shard count).
         cached / latency_s / error: serving metadata, as in
             :class:`MatchResponse`.
     """
@@ -157,7 +155,6 @@ class InvestigateResponse:
     num_scenarios: int = 0
     presence: List[Tuple[int, int, int]] = field(default_factory=list)
     co_travelers: List[Tuple[EID, int]] = field(default_factory=list)
-    shards_touched: int = 0
     cached: bool = False
     latency_s: float = 0.0
     error: Optional[str] = None
@@ -180,7 +177,7 @@ class IngestTickResponse:
 
     Attributes:
         status: ``"ok"`` or ``"error"``.
-        ingested: scenarios appended to the store and shards.
+        ingested: scenarios appended to the store.
         invalidated: cache entries dropped because their EIDs appear
             in the new scenarios (the invalidation rule).
         emissions: matches the incremental watch-list fired while

@@ -19,7 +19,8 @@ Request path::
                                          (under the read lock)
 
 ``ingest_tick`` is the only writer: under the write lock it appends
-scenarios to the store and shards, streams them through the
+scenarios to the store (and syncs its packed per-EID index,
+:class:`~repro.core.accel.ScenarioMatrix`), streams them through the
 :class:`~repro.core.incremental.IncrementalMatcher` watch-list, and
 then drops every cached answer whose EIDs appear in the new scenarios
 (the invalidation rule — see ``docs/architecture.md``).
@@ -40,6 +41,7 @@ from concurrent.futures import Future
 from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple, Union
 
+from repro.core.accel import matrix_for
 from repro.core.incremental import IncrementalMatcher
 from repro.core.matcher import EVMatcher, MatcherConfig, MatchReport
 from repro.obs import get_event_log, get_registry, get_tracer
@@ -64,7 +66,6 @@ from repro.service.api import (
 )
 from repro.service.batcher import MatchBatcher, Waiter
 from repro.service.cache import ResultCache
-from repro.service.dataset_shards import ShardedDataset
 from repro.service.health import HealthTracker, SLOConfig
 from repro.service.metrics import ServiceMetrics
 from repro.world.cells import CellGrid, HexCellGrid
@@ -85,7 +86,6 @@ class ServiceConfig:
             uses exclusion or refining — see ``batcher.py``).
         cache_capacity: LRU entries; 0 disables the result cache.
         cache_ttl_s: per-entry freshness bound; ``None`` = no expiry.
-        num_shards: spatial shards over the standing dataset.
         matcher: the algorithm configuration queries run with.
         worker_delay_s: artificial per-request service time; a testing
             hook for overload/shedding scenarios (0 in production).
@@ -100,7 +100,6 @@ class ServiceConfig:
     max_batch: int = 8
     cache_capacity: int = 256
     cache_ttl_s: Optional[float] = None
-    num_shards: int = 4
     matcher: MatcherConfig = MatcherConfig()
     worker_delay_s: float = 0.0
     slo: SLOConfig = SLOConfig()
@@ -155,7 +154,7 @@ class MatchService:
     Args:
         store: the scenario store queries run against (grows via
             :meth:`ingest_tick`).
-        grid: the cell decomposition (enables region-banded shards).
+        grid: the cell decomposition the store's cell ids come from.
         universe: the EID population; defaults to every EID observed
             in the store.  Feeds the incremental watch-list and
             universal matching.
@@ -180,7 +179,7 @@ class MatchService:
         if not self.universe:
             raise ValueError("service needs a non-empty EID universe")
 
-        self.shards = ShardedDataset(store, grid, self.config.num_shards)
+        self._matrix = matrix_for(store)
         self.cache = ResultCache(
             capacity=self.config.cache_capacity, ttl_s=self.config.cache_ttl_s
         )
@@ -487,7 +486,6 @@ class MatchService:
         try:
             for scenario in request.scenarios:
                 self.store.add(scenario)
-                self.shards.add_scenario(scenario)
                 emissions.extend(self._watch.observe(scenario))
                 affected.update(scenario.e.eids)
         except Exception as exc:
@@ -497,7 +495,12 @@ class MatchService:
                 status=STATUS_ERROR, latency_s=latency, error=str(exc)
             )
         finally:
-            self._rw.release_write()
+            # Whatever part of the window reached the store, the packed
+            # index holds it too before any reader sees the store.
+            try:
+                self._matrix.sync()
+            finally:
+                self._rw.release_write()
         invalidated = self.cache.invalidate_eids(affected)
         latency = time.perf_counter() - started
         self._observe("ingest", STATUS_OK, latency)
@@ -512,17 +515,11 @@ class MatchService:
     # -- stats -------------------------------------------------------------
     def _service_gauges(self) -> dict:
         """Point-in-time service-level gauges (shared by stats/metrics)."""
-        balance = self.shards.balance()
         return {
             "cache_entries": float(len(self.cache)),
             "cache_hit_rate": self.cache.stats.hit_rate(),
             "cache_invalidated": float(self.cache.stats.invalidated),
             "queue_depth": float(self.queue_depth),
-            "num_shards": float(self.shards.num_shards),
-            "shard_min_load": float(min(balance.values()) if balance else 0),
-            "shard_max_load": float(max(balance.values()) if balance else 0),
-            "shard_probes": float(self.shards.shard_probes),
-            "shard_lookups": float(self.shards.lookups),
             "store_scenarios": float(len(self.store)),
             "watch_pending": float(self.watch_pending),
             "watch_emitted": float(self.watch_emitted),
@@ -717,16 +714,15 @@ class MatchService:
         ) as exec_span:
             self._rw.acquire_read()
             try:
-                keys = self.shards.scenarios_of(request.eid)
+                matrix = self._matrix
                 response = InvestigateResponse(
                     status=STATUS_OK,
                     eid=request.eid,
-                    num_scenarios=len(keys),
-                    presence=self.shards.presence_windows(request.eid),
-                    co_travelers=self.shards.co_travelers(
+                    num_scenarios=len(matrix.rows_holding(request.eid)),
+                    presence=matrix.presence_windows(request.eid),
+                    co_travelers=matrix.co_travelers(
                         request.eid, min_shared=request.min_shared
                     ),
-                    shards_touched=len(self.shards.shards_of_eid(request.eid)),
                 )
             except Exception as exc:
                 response = InvestigateResponse(

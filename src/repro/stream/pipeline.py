@@ -214,7 +214,7 @@ class DurableStoreSink(StoreSink):
 
 class ServiceSink:
     """Feeds a live :class:`~repro.service.server.MatchService` via
-    its ingest path (store + shards + watch-list + cache
+    its ingest path (store + per-EID index + watch-list + cache
     invalidation), with the same duplicate suppression."""
 
     def __init__(self, service) -> None:

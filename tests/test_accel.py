@@ -20,6 +20,7 @@ from repro.sensing.scenarios import (
     VScenario,
 )
 from repro.world.entities import EID
+from tests.store_scan import scan_co_travelers, scan_presence, scan_scenarios
 
 
 def eids(*indices):
@@ -130,6 +131,39 @@ class TestScenarioMatrix:
         assert (of(0), of(1), of(2)) == (2, 2, 1)
         assert of(3) == 0  # vague bits do not count
         assert not matrix.co_occurrence_counts([]).any()
+        # co_travelers: the same sum over the EID's inclusive rows.
+        assert matrix.co_travelers(EID(0), min_shared=1) == [
+            (EID(1), 2), (EID(2), 1)
+        ]
+        assert matrix.co_travelers(EID(1), min_shared=2) == [
+            (EID(0), 2), (EID(2), 2)
+        ]
+        assert matrix.co_travelers(EID(3), min_shared=1) == []  # vague only
+        assert matrix.co_travelers(EID(10**6), min_shared=1) == []
+        with pytest.raises(ValueError):
+            matrix.co_travelers(EID(0), min_shared=0)
+
+    def test_per_eid_lookups_equal_store_scan(self, practical_dataset):
+        world = practical_dataset.store
+        store = ScenarioStore([world.get(k) for k in world.keys])
+        # A vague-only sighting, in a cell and of an EID nobody else has.
+        store.add(scenario(99, 0, {0}, {10**5}))
+        matrix = ScenarioMatrix(store)
+        eids_seen = sorted(store.eid_universe)
+        for eid in eids_seen:
+            keys = scan_scenarios(store, eid)
+            assert matrix.scenarios_of(eid) == keys
+            assert matrix.presence_windows(eid) == scan_presence(keys)
+            assert matrix.scenarios_of(eid, inclusive_only=True) == tuple(
+                k for k in keys if eid in store.e_scenario(k).inclusive
+            )
+        for eid in eids_seen[::25]:
+            assert matrix.co_travelers(eid, min_shared=2) == scan_co_travelers(
+                store, eid, 2
+            )
+        ghost = EID(10**6)
+        assert matrix.scenarios_of(ghost) == ()
+        assert matrix.presence_windows(ghost) == []
 
     def test_matrix_for_is_shared_per_store(self):
         store = ScenarioStore([scenario(0, 0, {0, 1})])

@@ -191,14 +191,16 @@ class TestResponseCodec:
             num_scenarios=6,
             presence=[(0, 1), (3, 2)],
             co_travelers=[(EID(5), 4)],
-            shards_touched=3,
         )
-        decoded = response_from_wire(
-            json.loads(json.dumps(response_to_wire(response)))
-        )
+        wire = json.loads(json.dumps(response_to_wire(response)))
+        assert "shards_touched" not in wire
+        decoded = response_from_wire(wire)
         assert decoded.eid == EID(2)
         assert decoded.presence == [(0, 1), (3, 2)]
         assert decoded.co_travelers == [(EID(5), 4)]
+        # An older peer still sends the retired shards_touched key.
+        decoded = response_from_wire({**wire, "shards_touched": 3})
+        assert decoded == response
 
     def test_ingest_carries_emission_count_not_objects(self):
         response = IngestTickResponse(

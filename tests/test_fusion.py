@@ -19,6 +19,7 @@ from repro.sensing.scenarios import (
     VScenario,
 )
 from repro.world.entities import EID, VID
+from tests.store_scan import scan_co_travelers
 
 
 def unit(*values):
@@ -173,6 +174,8 @@ class TestFusedIndex:
     def test_unknown_eid_raises(self, index):
         with pytest.raises(KeyError):
             index.profile(EID(10**6))
+        with pytest.raises(KeyError):
+            index.co_travelers(EID(10**6))
 
     def test_attribution_mostly_correct(self, index, ideal_dataset):
         assert index.attribution_accuracy(ideal_dataset.truth) >= 0.9
@@ -204,6 +207,7 @@ class TestFusedIndex:
             assert shared >= 2
         counts = [n for _e, n in pairs]
         assert counts == sorted(counts, reverse=True)
+        assert pairs == scan_co_travelers(index.store, eid, 2)
         with pytest.raises(ValueError):
             index.co_travelers(eid, min_shared=0)
 

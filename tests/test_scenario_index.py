@@ -5,6 +5,7 @@ import pytest
 from repro.sensing.index import ScenarioIndex
 from repro.world.entities import EID
 from repro.world.geometry import BoundingBox, Point
+from tests.store_scan import scan_scenarios
 
 
 @pytest.fixture(scope="module")
@@ -87,10 +88,12 @@ class TestEIDLookups:
         assert keys
         for key in keys:
             assert eid in ideal_dataset.store.e_scenario(key)
+        assert keys == scan_scenarios(ideal_dataset.store, eid)
 
     def test_unknown_eid_empty(self, ideal_dataset):
         index = ScenarioIndex(ideal_dataset.store)
         assert index.scenarios_of(EID(10**6)) == ()
+        assert index.presence_windows(EID(10**6)) == []
 
     def test_presence_windows_cover_all_sightings(self, ideal_dataset):
         index = ScenarioIndex(ideal_dataset.store)

@@ -3,7 +3,13 @@
 import pytest
 
 from repro.core.matcher import EVMatcher
-from repro.sensing.scenarios import ScenarioStore
+from repro.sensing.scenarios import (
+    EScenario,
+    EVScenario,
+    ScenarioKey,
+    ScenarioStore,
+    VScenario,
+)
 from repro.service import (
     LoadConfig,
     MatchRequest,
@@ -13,6 +19,8 @@ from repro.service import (
 )
 from repro.service.loadgen import build_request_pool
 from repro.service.metrics import LatencyHistogram, ServiceMetrics
+from repro.world.entities import EID
+from tests.store_scan import scan_co_travelers, scan_presence, scan_scenarios
 
 
 @pytest.fixture()
@@ -199,16 +207,58 @@ class TestIngest:
             resp = svc.ingest_tick([first])
             assert resp.status == "error"
             assert "duplicate" in resp.error
+            # A window that fails part-way keeps what reached the store,
+            # and investigate sees exactly that.
+            second = arriving[1]
+            resp = svc.ingest_tick([second, first])
+            assert resp.status == "error"
+            eid = min(second.e.eids)
+            seen = svc.investigate(eid)
+            assert seen.num_scenarios == len(scan_scenarios(svc.store, eid))
+
+    def test_ingested_scenarios_visible_to_investigate(self, ideal_dataset):
+        standing, arriving = split_store(ideal_dataset)
+        svc = MatchService(
+            standing,
+            grid=ideal_dataset.grid,
+            universe=ideal_dataset.eids,
+            config=ServiceConfig(workers=1),
+        )
+        eid = min(arriving[0].e.eids)
+        new_cell = max(c.cell_id for c in ideal_dataset.grid.cells) + 5
+        key = ScenarioKey(cell_id=new_cell, tick=0)
+        unseen_cell = EVScenario(
+            e=EScenario(key=key, inclusive=frozenset([eid])),
+            v=VScenario(key=key, detections=()),
+        )
+        with svc:
+            before = svc.investigate(eid).num_scenarios
+            for scenario in arriving:
+                assert svc.ingest_tick([scenario]).status == "ok"
+            assert svc.ingest_tick([unseen_cell]).status == "ok"
+            response = svc.investigate(eid)
+            assert not response.cached
+            keys = scan_scenarios(svc.store, eid)
+            assert key in keys and response.num_scenarios == len(keys) > before
+            assert response.presence == scan_presence(keys)
+            assert (new_cell, 0, 0) in response.presence
 
 
 class TestInvestigateAndStats:
-    def test_investigate_from_shards(self, ideal_dataset, service):
+    def test_investigate_equals_store_scan(self, ideal_dataset, service):
+        store = ideal_dataset.store
+        for eid in ideal_dataset.sample_targets(8, seed=11):
+            response = service.investigate(eid, min_shared=2)
+            assert response.status == "ok"
+            keys = scan_scenarios(store, eid)
+            assert response.num_scenarios == len(keys) > 0
+            assert response.presence == scan_presence(keys)
+            assert response.co_travelers == scan_co_travelers(store, eid, 2)
+        ghost = service.investigate(EID(10**6))
+        assert ghost.status == "ok"
+        assert (ghost.num_scenarios, ghost.presence, ghost.co_travelers) == (0, [], [])
         eid = ideal_dataset.sample_targets(1, seed=11)[0]
         response = service.investigate(eid)
-        assert response.status == "ok"
-        assert response.num_scenarios > 0
-        assert response.presence
-        assert 1 <= response.shards_touched <= service.shards.num_shards
         repeat = service.investigate(eid)
         assert repeat.cached
         assert repeat.presence == response.presence
@@ -222,7 +272,6 @@ class TestInvestigateAndStats:
         for key in ("requests", "ok", "shed", "latency_p95_s"):
             assert key in match_stats
         gauges = snapshot["service"]
-        assert gauges["num_shards"] == service.shards.num_shards
         assert gauges["store_scenarios"] == len(service.store)
 
 

@@ -533,7 +533,7 @@ class TestPipelineIntegration:
             store,
             grid=small_world.grid,
             universe=small_world.eids,
-            config=ServiceConfig(workers=1, num_shards=2),
+            config=ServiceConfig(workers=1),
         )
         sink = ServiceSink(service)
         config = StreamConfig.from_builder(
